@@ -351,16 +351,20 @@ func PartitionCtx(ctx context.Context, net *Network, arr *Array, strategy Strate
 // partitionCachedCtx is Partition through an optional shared plan cache
 // and a context; it backs the package-level entry points and Session.
 func partitionCachedCtx(ctx context.Context, net *Network, arr *Array, strategy Strategy, cache *PlanCache) (*Plan, error) {
-	if strategy == StrategyAccPar {
-		tree, err := hardware.BuildTree(arr, 64)
-		if err != nil {
-			return nil, err
-		}
-		return core.PartitionAccParCachedCtx(ctx, net, tree, cache)
+	tree, err := hardware.BuildTree(arr, 64)
+	if err != nil {
+		return nil, err
 	}
-	opt := strategy.Options()
-	opt.Cache = cache
-	return PartitionWithOptionsCtx(ctx, net, arr, opt, 64)
+	return core.PartitionBestCtx(ctx, net, tree, strategy.portfolio(cache)...)
+}
+
+// portfolio returns the option sets a strategy searches, bound to cache:
+// the AccPar production portfolio, or the strategy's one configuration.
+func (s Strategy) portfolio(cache *PlanCache) []Options {
+	if s == StrategyAccPar {
+		return core.WithCache(cache, core.AccParVariants()...)
+	}
+	return core.WithCache(cache, s.Options())
 }
 
 // PartitionWithOptions is the advanced entry point: explicit partitioner

@@ -49,7 +49,7 @@ const allocSlack = 16
 // dseMinSpeedup is the amortization floor the shared design-space sweep
 // must hold over independent cold per-candidate searches. Unlike the
 // relative ns/op comparisons, this gates the fresh report against an
-// absolute target: losing the batch engine's cross-fleet memo or its
+// absolute target: losing the sweep engines' cross-fleet memo or their
 // bound pruning is a regression even if both sweep entries slow down in
 // proportion.
 const dseMinSpeedup = 5.0

@@ -65,7 +65,7 @@ type BenchReport struct {
 	// sub-millisecond fault-response path.
 	SpeedupReplanWarm float64 `json:"speedup_replan_warm"`
 	// SpeedupDSEShared is DSESweep cold ns/op over shared: the whole-sweep
-	// win of the batch engine's cross-fleet memo plus lower-bound pruning
+	// win of the sweep engines' cross-fleet memo plus lower-bound pruning
 	// over independent per-candidate searches of the same fleet grid. The
 	// gate enforces a floor on it (dseMinSpeedup).
 	SpeedupDSEShared float64 `json:"speedup_dse_shared"`
@@ -273,7 +273,7 @@ func benchReplanAfterFault(model string, batch, perKind int) (full, incremental,
 		return full, incremental, recurrent, benchErr
 	}
 
-	engine, err := core.NewReplanEngine(net, core.AccPar())
+	engine, err := core.NewEngine(net, core.AccPar())
 	if err != nil {
 		return full, incremental, recurrent, err
 	}
@@ -302,7 +302,7 @@ func benchReplanAfterFault(model string, batch, perKind int) (full, incremental,
 		return full, incremental, recurrent, benchErr
 	}
 
-	warmEngine, err := core.NewReplanEngine(net, core.AccPar())
+	warmEngine, err := core.NewEngine(net, core.AccPar())
 	if err != nil {
 		return full, incremental, recurrent, err
 	}
@@ -579,7 +579,7 @@ func runPerf(cfg eval.Config, jsonPath, cacheFile, cpuProfile, memProfile string
 	}
 
 	// Replan after fault: the full-search baseline vs the retained
-	// ReplanEngine, for both a never-seen degradation (incremental) and a
+	// Engine, for both a never-seen degradation (incremental) and a
 	// recurrent one (warm working set).
 	replanFull, replanInc, replanWarm, err := benchReplanAfterFault("resnet50", batch, perKind)
 	if err != nil {

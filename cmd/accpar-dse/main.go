@@ -1,9 +1,9 @@
 // Command accpar-dse explores the fleet design space: it enumerates
 // candidate accelerator fleets (kind mixes, counts, hierarchy depths,
 // link-bandwidth tiers) under a budget, plans every candidate against
-// one workload through a shared batch planning engine, and reports the
-// Pareto frontier over makespan, fleet cost and resilience (post-fault
-// makespan after degradation-aware replanning).
+// one workload through a sweep portfolio of retained planning engines,
+// and reports the Pareto frontier over makespan, fleet cost and
+// resilience (post-fault makespan after degradation-aware replanning).
 //
 // Usage:
 //

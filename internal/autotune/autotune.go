@@ -54,7 +54,7 @@ func TuneBatchCached(model string, tree *hardware.Tree, minBatch, maxBatch int, 
 		if err != nil {
 			return nil, err
 		}
-		plan, err := core.PartitionAccParCached(net, tree, cache)
+		plan, err := core.PartitionBest(net, tree, core.WithCache(cache, core.AccParVariants()...)...)
 		if err != nil {
 			return nil, err
 		}
@@ -118,7 +118,7 @@ func TuneDepthCached(net *dnn.Network, arr *hardware.Array, cache *core.SharedCa
 		if err != nil {
 			return nil, err
 		}
-		plan, err := core.PartitionAccParCached(net, tree, cache)
+		plan, err := core.PartitionBest(net, tree, core.WithCache(cache, core.AccParVariants()...)...)
 		if err != nil {
 			return nil, err
 		}

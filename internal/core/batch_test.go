@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
 
+	"accpar/internal/dnn"
 	"accpar/internal/hardware"
 )
 
@@ -33,40 +36,112 @@ func homTree(t *testing.T, spec hardware.Spec, n, levels int) *hardware.Tree {
 	return tree
 }
 
-// TestBatchPlanEquivalence is the core batch-engine contract: every plan
-// produced through the sweep-shared memo is byte-identical to a
-// standalone PartitionAccPar run, for every candidate, no matter how
-// much cross-candidate state the earlier candidates left behind.
+// portfolioBuilders are the two ways an owner builds a portfolio of
+// Engines, one per retention policy: the bounded engines a Session's
+// registry hands out, and the retain-everything engines of a sweep.
+var portfolioBuilders = []struct {
+	name    string
+	bounded bool
+	build   engineBuilder
+}{
+	{"bounded", true, func(net *dnn.Network, opts ...Options) ([]*Engine, error) {
+		return NewEngines(0).Portfolio(net, opts...)
+	}},
+	{"sweep", false, NewSweepPortfolio},
+}
+
+// engineBuilder builds a portfolio of Engines under one retention policy.
+type engineBuilder func(net *dnn.Network, opts ...Options) ([]*Engine, error)
+
+// runEngineContract runs one call pattern of the engine contract under
+// both retention policies: everything produced through retained state is
+// byte-identical to a cold search, no matter how much state earlier calls
+// left behind.
+func runEngineContract(t *testing.T, pattern func(t *testing.T, build engineBuilder, bounded bool)) {
+	for _, pb := range portfolioBuilders {
+		t.Run(pb.name, func(t *testing.T) { pattern(t, pb.build, pb.bounded) })
+	}
+}
+
+// TestBatchPlanEquivalence is the engine contract's sweep call pattern:
+// many candidate trees (one revisited) planned through the AccPar
+// portfolio match standalone PartitionAccPar.
 func TestBatchPlanEquivalence(t *testing.T) {
-	net := buildNet(t, "resnet18", 64)
-	set, err := NewBatchAccPar(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trees := []*hardware.Tree{
-		paperTree(t, 4),
-		homTree(t, hardware.TPUv3(), 8, 64),
-		paperTree(t, 8),
-		homTree(t, hardware.TPUv2(), 16, 64),
-		paperTree(t, 4), // revisit: served almost entirely from memo
-	}
 	ctx := context.Background()
-	for i, tree := range trees {
-		got, variant, err := set.PlanBestCtx(ctx, tree)
+	runEngineContract(t, func(t *testing.T, build engineBuilder, _ bool) {
+		net := buildNet(t, "resnet18", 64)
+		engines, err := build(net, AccParVariants()...)
 		if err != nil {
-			t.Fatalf("tree %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if variant < 0 || variant >= len(AccParVariants()) {
-			t.Fatalf("tree %d: variant index %d out of range", i, variant)
+		trees := []*hardware.Tree{
+			paperTree(t, 4),
+			homTree(t, hardware.TPUv3(), 8, 64),
+			paperTree(t, 8),
+			homTree(t, hardware.TPUv2(), 16, 64),
+			paperTree(t, 4), // revisit: served from retained state
 		}
-		want, err := PartitionAccPar(net, tree)
+		for i, tree := range trees {
+			got, variant, _, err := PlanBestCtx(ctx, engines, tree)
+			if err != nil {
+				t.Fatalf("tree %d: %v", i, err)
+			}
+			if variant < 0 || variant >= len(engines) {
+				t.Fatalf("tree %d: variant index %d out of range", i, variant)
+			}
+			want, err := PartitionAccPar(net, tree)
+			if err != nil {
+				t.Fatalf("tree %d standalone: %v", i, err)
+			}
+			if !bytes.Equal(planBytes(t, got), planBytes(t, want)) {
+				t.Errorf("tree %d: engine plan diverges from standalone PartitionAccPar", i)
+			}
+		}
+	})
+}
+
+// TestReplanEngineByteIdentical is the engine contract's replan call
+// pattern: pristine→degraded across seeded fault scenarios matches three
+// cold passes — on first sight of each scenario, on second sight
+// (retained-plan and stale-memo hits, where a bounded engine must expand
+// nothing) and after the whole matrix churned the memo.
+func TestReplanEngineByteIdentical(t *testing.T) {
+	ctx := context.Background()
+	runEngineContract(t, func(t *testing.T, build engineBuilder, bounded bool) {
+		net := buildNet(t, "alexnet", 64)
+		groups := v2v3Groups(8)
+		pristine := treeFor(t, groups...)
+		engines, err := build(net, AccPar())
 		if err != nil {
-			t.Fatalf("tree %d standalone: %v", i, err)
+			t.Fatal(err)
 		}
-		if !bytes.Equal(planBytes(t, got), planBytes(t, want)) {
-			t.Errorf("tree %d: batch plan diverges from standalone PartitionAccPar", i)
+		e := engines[0]
+		scenarios := faultScenarios(t)
+		refs := make([]*ReplanReport, len(scenarios))
+		trees := make([]*hardware.Tree, len(scenarios))
+		for i, sc := range scenarios {
+			trees[i] = degradedTreeFor(t, groups, sc)
+			refs[i] = coldReplanReference(t, net, pristine, trees[i], AccPar())
 		}
-	}
+		for round := 0; round < 2; round++ {
+			for i := range scenarios {
+				rep, st, err := e.ReplanCtx(ctx, pristine, trees[i])
+				if err != nil {
+					t.Fatalf("round %d scenario %d: %v", round, i, err)
+				}
+				label := fmt.Sprintf("round %d scenario %d", round, i)
+				assertReportsEqual(t, label, rep, refs[i])
+				switch {
+				case !bounded && st != (ReplanStats{}):
+					t.Errorf("%s: sweep engine reported stats %+v, want none", label, st)
+				case bounded && round > 0 && st.Expanded != 0:
+					t.Errorf("%s: recurrent scenario expanded %d subproblems, want 0", label, st.Expanded)
+				case bounded && round > 0 && st.IncrementalHits == 0:
+					t.Errorf("%s: recurrent scenario reported no incremental hits", label)
+				}
+			}
+		}
+	})
 }
 
 // TestBatchCrossFleetHits verifies the metric split: hits while planning
@@ -74,14 +149,15 @@ func TestBatchPlanEquivalence(t *testing.T) {
 // behind count as cross-fleet amortization.
 func TestBatchCrossFleetHits(t *testing.T) {
 	net := buildNet(t, "alexnet", 64)
-	e, err := NewBatchEngine(net, AccPar())
+	engines, err := NewSweepPortfolio(net, AccPar(), DataParallel())
 	if err != nil {
 		t.Fatal(err)
 	}
+	e, dp := engines[0], engines[1]
 	ctx := context.Background()
 
 	before := obsCrossFleetHits.Value()
-	if _, err := e.PlanCtx(ctx, homTree(t, hardware.TPUv3(), 16, 64)); err != nil {
+	if _, _, err := e.PlanCtx(ctx, homTree(t, hardware.TPUv3(), 16, 64)); err != nil {
 		t.Fatal(err)
 	}
 	if got := obsCrossFleetHits.Value() - before; got != 0 {
@@ -93,7 +169,7 @@ func TestBatchCrossFleetHits(t *testing.T) {
 	// subproblem — the whole search — is served from the first candidate's
 	// entry, and the hit counts as cross-fleet.
 	before = obsCrossFleetHits.Value()
-	if _, err := e.PlanCtx(ctx, homTree(t, hardware.TPUv3(), 16, 64)); err != nil {
+	if _, _, err := e.PlanCtx(ctx, homTree(t, hardware.TPUv3(), 16, 64)); err != nil {
 		t.Fatal(err)
 	}
 	if got := obsCrossFleetHits.Value() - before; got == 0 {
@@ -104,11 +180,7 @@ func TestBatchCrossFleetHits(t *testing.T) {
 	// to the TPU-v2 side depend only on that side's depth, not on what
 	// hangs on the other side of the split, so candidates sharing a
 	// per-kind group re-use its whole subtree across different fleets.
-	dp, err := NewBatchEngine(net, DataParallel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dp.PlanCtx(ctx, paperTree(t, 8)); err != nil {
+	if _, _, err := dp.PlanCtx(ctx, paperTree(t, 8)); err != nil {
 		t.Fatal(err)
 	}
 	before = obsCrossFleetHits.Value()
@@ -122,21 +194,30 @@ func TestBatchCrossFleetHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dp.PlanCtx(ctx, mixed); err != nil {
+	if _, _, err := dp.PlanCtx(ctx, mixed); err != nil {
 		t.Fatal(err)
 	}
 	if got := obsCrossFleetHits.Value() - before; got == 0 {
 		t.Error("shared TPU-v2 side produced no cross-fleet hits")
 	}
 
-	// One-shot searches must never count cross-fleet hits, whatever the
-	// engine left in the process-wide counters.
+	// One-shot searches and bounded engines must never count cross-fleet
+	// hits, whatever a sweep left in the process-wide counters.
 	before = obsCrossFleetHits.Value()
 	if _, err := Partition(net, homTree(t, hardware.TPUv3(), 32, 64), AccPar()); err != nil {
 		t.Fatal(err)
 	}
+	bounded, err := NewEngine(net, AccPar())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, err := bounded.PlanCtx(ctx, homTree(t, hardware.TPUv3(), 16+16*i, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if got := obsCrossFleetHits.Value() - before; got != 0 {
-		t.Errorf("one-shot search counted %d cross-fleet hits, want 0", got)
+		t.Errorf("one-shot search and bounded engine counted %d cross-fleet hits, want 0", got)
 	}
 }
 
@@ -149,7 +230,7 @@ func TestLowerBoundAdmissible(t *testing.T) {
 	ctx := context.Background()
 	for _, model := range []string{"alexnet", "resnet18"} {
 		net := buildNet(t, model, 64)
-		set, err := NewBatchAccPar(net)
+		engines, err := NewSweepPortfolio(net, AccParVariants()...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,8 +242,10 @@ func TestLowerBoundAdmissible(t *testing.T) {
 			homTree(t, hardware.TPUv3(), 16, 2), // level-capped: leaf fallback path
 		}
 		for i, tree := range trees {
-			for v, e := range set.engines {
-				plan, err := e.PlanCtx(ctx, tree)
+			portfolioLB := math.Inf(1)
+			for v, e := range engines {
+				portfolioLB = min(portfolioLB, e.LowerBound(tree))
+				plan, _, err := e.PlanCtx(ctx, tree)
 				if err != nil {
 					t.Fatalf("%s tree %d variant %d: %v", model, i, v, err)
 				}
@@ -171,22 +254,22 @@ func TestLowerBoundAdmissible(t *testing.T) {
 						model, i, v, plan.Time(), lb)
 				}
 			}
-			best, variant, err := set.PlanBestCtx(ctx, tree)
+			best, variant, _, err := PlanBestCtx(ctx, engines, tree)
 			if err != nil {
 				t.Fatalf("%s tree %d: %v", model, i, err)
 			}
-			if lb := set.LowerBound(tree); best.Time() < lb {
-				t.Errorf("%s tree %d: best time %.9g beats portfolio bound %.9g", model, i, best.Time(), lb)
+			if best.Time() < portfolioLB {
+				t.Errorf("%s tree %d: best time %.9g beats portfolio bound %.9g", model, i, best.Time(), portfolioLB)
 			}
 			degraded := degradeTree(t, tree)
 			if degraded == nil {
 				continue
 			}
-			rt, err := set.ReplanTimeCtx(ctx, best, variant, degraded)
+			rep, _, err := engines[variant].ReplanCtx(ctx, tree, degraded)
 			if err != nil {
 				t.Fatalf("%s tree %d replan: %v", model, i, err)
 			}
-			if lb := set.engines[variant].LowerBound(degraded); rt < lb {
+			if rt, lb := rep.Replanned.Time(), engines[variant].LowerBound(degraded); rt < lb {
 				t.Errorf("%s tree %d: replanned time %.9g beats degraded bound %.9g", model, i, rt, lb)
 			}
 		}
@@ -230,13 +313,13 @@ func degradeTree(t *testing.T, tree *hardware.Tree) *hardware.Tree {
 	return dt
 }
 
-// TestBatchCancellation covers the batch API mid-sweep abort contract:
+// TestBatchCancellation covers the sweep portfolio's mid-sweep abort contract:
 // typed ErrCanceled, no goroutine leaks, and a memo left consistent —
 // the same engine must afterwards produce plans byte-identical to a
 // standalone search.
 func TestBatchCancellation(t *testing.T) {
 	net := buildNet(t, "resnet18", 64)
-	set, err := NewBatchAccPar(net)
+	engines, err := NewSweepPortfolio(net, AccParVariants()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +329,11 @@ func TestBatchCancellation(t *testing.T) {
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := set.PlanBestCtx(canceled, tree); !errors.Is(err, ErrCanceled) {
+	if _, _, _, err := PlanBestCtx(canceled, engines, tree); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("pre-canceled batch plan: got %v, want ErrCanceled", err)
 	}
-	if !errors.Is(wrapCtxErr(canceled.Err()), ErrCanceled) {
-		t.Fatal("sanity: wrapCtxErr must map context.Canceled to ErrCanceled")
+	if !errors.Is(WrapCtxErr(canceled.Err()), ErrCanceled) {
+		t.Fatal("sanity: WrapCtxErr must map context.Canceled to ErrCanceled")
 	}
 
 	// Mid-search abort: cancel from a watcher goroutine while the sweep
@@ -261,7 +344,7 @@ func TestBatchCancellation(t *testing.T) {
 		time.Sleep(200 * time.Microsecond)
 		midCancel()
 	}()
-	if _, _, err := set.PlanBestCtx(midCtx, tree); err != nil && !errors.Is(err, ErrCanceled) {
+	if _, _, _, err := PlanBestCtx(midCtx, engines, tree); err != nil && !errors.Is(err, ErrCanceled) {
 		t.Fatalf("mid-sweep cancel: got %v, want nil or ErrCanceled", err)
 	}
 	midCancel()
@@ -277,7 +360,7 @@ func TestBatchCancellation(t *testing.T) {
 	// Memo consistency: the aborted sweeps published only completed
 	// subproblems, so a subsequent plan through the same engines must be
 	// byte-identical to a cold standalone search.
-	got, _, err := set.PlanBestCtx(context.Background(), tree)
+	got, _, _, err := PlanBestCtx(context.Background(), engines, tree)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"hash/fnv"
@@ -9,7 +8,6 @@ import (
 	"os"
 
 	"accpar/internal/dnn"
-	"accpar/internal/hardware"
 	"accpar/internal/plancache"
 )
 
@@ -224,19 +222,13 @@ func searchFingerprint(units []dnn.WeightedLayer, segs, planSegs []segRef, opt O
 	return string(h.Sum(nil))
 }
 
-// PartitionAccParCached is PartitionAccPar with a shared cross-run cache:
-// the production portfolio search with every variant seeding from and
-// feeding the same cache. A nil cache degrades to the uncached search.
-func PartitionAccParCached(net *dnn.Network, tree *hardware.Tree, cache *SharedCache) (*Plan, error) {
-	return PartitionAccParCachedCtx(context.Background(), net, tree, cache)
-}
-
-// PartitionAccParCachedCtx is PartitionAccParCached bound to a context;
-// see PartitionBestCtx for the abort semantics.
-func PartitionAccParCachedCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, cache *SharedCache) (*Plan, error) {
-	variants := AccParVariants()
-	for i := range variants {
-		variants[i].Cache = cache
+// WithCache returns copies of opts bound to a shared cross-run cache
+// (Options.Cache), so a portfolio such as AccParVariants seeds from and
+// feeds one cache. A nil cache leaves the searches uncached.
+func WithCache(cache *SharedCache, opts ...Options) []Options {
+	out := append([]Options(nil), opts...)
+	for i := range out {
+		out[i].Cache = cache
 	}
-	return PartitionBestCtx(ctx, net, tree, variants...)
+	return out
 }

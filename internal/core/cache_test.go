@@ -307,8 +307,8 @@ func mustPartition(t *testing.T, net *dnn.Network, tree *hardware.Tree, opt Opti
 	return plan
 }
 
-// TestPartitionAccParCached: the cached portfolio entry point matches the
-// uncached one and reuses the cache across calls.
+// TestPartitionAccParCached: the AccPar portfolio bound to a shared cache
+// (WithCache) matches the uncached one and reuses the cache across calls.
 func TestPartitionAccParCached(t *testing.T) {
 	net := buildNet(t, "alexnet", 64)
 	tree := paperTree(t, 4)
@@ -319,7 +319,7 @@ func TestPartitionAccParCached(t *testing.T) {
 	want := planJSON(t, ref)
 	cache := NewSharedCache(0)
 	for pass := 0; pass < 2; pass++ {
-		plan, err := PartitionAccParCached(net, tree, cache)
+		plan, err := PartitionBest(net, tree, WithCache(cache, AccParVariants()...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +330,7 @@ func TestPartitionAccParCached(t *testing.T) {
 	if st := cache.Stats(); st.Hits == 0 {
 		t.Errorf("portfolio reuse recorded no hits: %+v", st)
 	}
-	if _, err := PartitionAccParCached(net, tree, nil); err != nil {
+	if _, err := PartitionBest(net, tree, WithCache(nil, AccParVariants()...)...); err != nil {
 		t.Errorf("nil cache must degrade to the uncached search: %v", err)
 	}
 }

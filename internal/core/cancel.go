@@ -31,9 +31,9 @@ var ErrCanceled = fmt.Errorf("core: search canceled: %w", context.Canceled)
 // sentinel.
 var ErrDeadlineExceeded = fmt.Errorf("core: search deadline exceeded: %w", context.DeadlineExceeded)
 
-// wrapCtxErr maps a context error (possibly already wrapped) to the
+// WrapCtxErr maps a context error (possibly already wrapped) to the
 // package's typed sentinel; other errors pass through unchanged.
-func wrapCtxErr(err error) error {
+func WrapCtxErr(err error) error {
 	switch {
 	case err == nil:
 		return nil
@@ -65,7 +65,7 @@ func (p *planner) checkCtx() error {
 	}
 	select {
 	case <-p.done:
-		return wrapCtxErr(p.ctx.Err())
+		return WrapCtxErr(p.ctx.Err())
 	default:
 		return nil
 	}

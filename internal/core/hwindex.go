@@ -90,13 +90,6 @@ func (x *hwIndex) rebuild(roots []*hardware.Tree) {
 	x.m = next
 }
 
-// size returns the indexed node count.
-func (x *hwIndex) size() int {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return len(x.m)
-}
-
 // indexTree computes hwInfo for every node of t bottom-up into m and
 // returns the root's. The digest folds the node's spec list (in group
 // order — member order is observable through Group.String) and the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,24 +19,25 @@ import (
 	"accpar/internal/tensor"
 )
 
-// This file implements incremental replanning: a ReplanEngine retains
-// one planner's dependency-tracked search state — the subproblem memo,
-// the hardware digest index, a stale-re-costing memo and whole plans
-// keyed by tree digest — across fault events, so responding to a
-// degradation re-solves only the subproblems the fault actually
-// touched. Everything is content-addressed, which splits correctness
-// from retention cleanly:
+// This file implements the retained planning engine behind incremental
+// replanning and design-space sweeps: an Engine retains one planner's
+// dependency-tracked search state — the subproblem memo, the hardware
+// digest index, a stale-re-costing memo and whole plans keyed by tree
+// digest — across calls, so responding to a degradation re-solves only
+// the subproblems the fault actually touched, and a sweep solves each
+// subtree its candidate fleets share once. Everything is
+// content-addressed, which splits correctness from retention cleanly:
 //
 //   - correctness: a retained entry can only be hit by a subproblem with
 //     byte-identical inputs, so incremental replans are byte-identical
 //     to a cold full search on the degraded spec, no matter what the
 //     retention policy kept or dropped — including after aborted calls,
 //     which never publish partial entries;
-//   - retention: each entry's recorded dependency set (the spec
-//     fingerprints of its hardware subtree) is walked when degraded
-//     hardware leaves the recent working set, invalidating exactly the
-//     dependent subtree of subproblems; an epoch backstop bounds what
-//     reachable hardware can accumulate.
+//   - retention (bounded engines): each entry's recorded dependency set
+//     (the spec fingerprints of its hardware subtree) is walked when
+//     degraded hardware leaves the recent working set, invalidating
+//     exactly the dependent subtree of subproblems; an epoch backstop
+//     bounds what reachable hardware can accumulate.
 
 const (
 	// defaultRecentTrees bounds the hardware trees (by content digest) an
@@ -107,17 +109,22 @@ func (p *planner) noteStaleReuse() {
 	}
 }
 
-// retainedPlan is a fully solved plan kept by digest, with the decision
-// digests its stale re-costings are memoized under.
+// retainedPlan is a fully solved plan kept by digest.
 type retainedPlan struct {
 	plan *Plan
-	tree *hardware.Tree
-	// decisions maps each plan node to a digest of its decision context:
+	// digests maps each plan node to a digest of its decision context:
 	// the path of (side, α, types) choices from the root — which pins the
 	// node's effective dims, since the root dims are fixed per engine —
 	// plus the decision subtree below it. Two nodes with equal digests
-	// re-cost identically on equal hardware.
-	decisions map[*PlanNode]uint64
+	// re-cost identically on equal hardware. Built on first use: most
+	// retained plans are never re-costed.
+	once    sync.Once
+	digests map[*PlanNode]uint64
+}
+
+func (rp *retainedPlan) decisions() map[*PlanNode]uint64 {
+	rp.once.Do(func() { rp.digests = planDecisionDigests(rp.plan) })
+	return rp.digests
 }
 
 type recentTree struct {
@@ -126,22 +133,46 @@ type recentTree struct {
 	root   *hardware.Tree
 }
 
-// ReplanEngine retains one search's dependency-tracked state across
-// fault events for a fixed (network, options) pair. It is safe for
-// concurrent use; every call is byte-identical to the equivalent cold
-// search, so the engine affects latency only, never plans.
-type ReplanEngine struct {
+// Engine is the retained planner: one (network, options) search whose
+// dependency-tracked state — the subproblem memo, the hardware digest
+// index, a stale-re-costing memo and whole plans keyed by tree digest —
+// outlives individual calls. PlanCtx partitions a tree, ReplanCtx
+// responds to a degradation and LowerBound bounds any plan's makespan.
+// It is safe for concurrent use; every call is byte-identical to the
+// equivalent cold search, so the engine affects latency only, never
+// plans.
+//
+// The owner picks the retention policy at construction. NewEngine (and
+// the Engines registry a Session keeps) serves a long-lived process: a
+// bounded working set of recent trees, dependency invalidation when a
+// tree leaves it, and an epoch backstop on the memo size.
+// NewSweepPortfolio serves one design-space sweep: its engines retain
+// everything until the sweep discards them, keep no replan statistics,
+// and count memo hits on entries another candidate left behind as
+// cross-fleet amortization (core.memo_cross_fleet_hits). A sweep engine
+// reads retained whole plans only for ReplanCtx's pristine plan; every
+// other search goes through the memo, so a candidate repeating earlier
+// hardware shows up as a cross-fleet root hit.
+type Engine struct {
 	mu   sync.Mutex
 	base *planner
+	// sweep selects the retain-everything policy of NewSweepPortfolio.
+	sweep bool
 	// epoch numbers engine calls; memo entries are stamped with the epoch
-	// that last served them (the retention backstop's clock).
+	// that last served them (the retention backstop's clock, and the
+	// sweep's cross-fleet marker).
 	epoch atomic.Int64
+	// bound is built on first LowerBound: only sweeps prune, and a
+	// registry lookup constructs a candidate engine per call.
+	boundOnce sync.Once
+	bound     boundModel
 	// stale memoizes stale re-costings under (hardware digest, decision
-	// digest) keys; see staleNodeInc.
+	// digest) keys; see staleWalk.
 	stale *planMemo
-	// plans retains whole solved plans by tree digest; recent is the
-	// MRU-first working set of tree digests that bounds both plans and
-	// the reachable-spec set for dependency invalidation.
+	// plans retains whole solved plans by tree digest; under the bounded
+	// policy recent is the MRU-first working set of tree digests that
+	// bounds both plans and the reachable-spec set for dependency
+	// invalidation.
 	plans     map[[16]byte]*retainedPlan
 	recent    []recentTree
 	recentCap int
@@ -149,17 +180,23 @@ type ReplanEngine struct {
 	gcNeeded  bool
 }
 
-// NewReplanEngine returns an engine for the network and options. The
-// options' Cache, if set, is consulted and fed as usual — the engine's
-// retained memo sits in front of it, the dependency graph under the
-// existing plan cache.
-func NewReplanEngine(net *dnn.Network, opt Options) (*ReplanEngine, error) {
+// NewEngine returns a bounded-retention engine for the network and
+// options. The options' Cache, if set, is consulted and fed as usual —
+// the engine's retained memo sits in front of it, the dependency graph
+// under the existing plan cache.
+func NewEngine(net *dnn.Network, opt Options) (*Engine, error) {
+	return newEngine(net, opt, false)
+}
+
+func newEngine(net *dnn.Network, opt Options, sweep bool) (*Engine, error) {
 	p, err := newPlanner(nil, net, opt)
 	if err != nil {
 		return nil, err
 	}
-	return &ReplanEngine{
+	p.sweep = sweep
+	return &Engine{
 		base:      p,
+		sweep:     sweep,
 		stale:     newPlanMemo(),
 		plans:     make(map[[16]byte]*retainedPlan),
 		recentCap: defaultRecentTrees,
@@ -167,10 +204,44 @@ func NewReplanEngine(net *dnn.Network, opt Options) (*ReplanEngine, error) {
 	}, nil
 }
 
+// NewSweepPortfolio builds one retain-everything engine per option set
+// for a design-space sweep; see Engine. One sweep-shared memo per
+// variant keys subproblems by (interned-subtree digest, effective dims),
+// so a subtree two candidate fleets have in common — the same specs
+// under the same link wiring, wherever and at whatever depth it hangs —
+// is solved once for the whole sweep.
+func NewSweepPortfolio(net *dnn.Network, opts ...Options) ([]*Engine, error) {
+	engines := make([]*Engine, len(opts))
+	for i, opt := range opts {
+		e, err := newEngine(net, opt, true)
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 {
+			// One hardware index serves the portfolio: digests and spec sets
+			// are functions of the trees alone, never of options, and sweep
+			// engines never rebuild it.
+			e.base.hw = engines[0].base.hw
+		}
+		engines[i] = e
+	}
+	return engines, nil
+}
+
+// LowerBound returns an admissible lower bound on the makespan of any
+// plan for tree under the engine's options; see boundModel.
+func (e *Engine) LowerBound(tree *hardware.Tree) float64 {
+	e.boundOnce.Do(func() { e.bound = newBoundModel(e.base.units, e.base.rootDims(), e.base.opt) })
+	return e.bound.lower(tree)
+}
+
 // admit indexes tree, moves it to the front of the recent working set
 // and evicts beyond capacity. Caller holds e.mu.
-func (e *ReplanEngine) admit(tree *hardware.Tree) hwInfo {
+func (e *Engine) admit(tree *hardware.Tree) hwInfo {
 	info := e.base.hw.ensure(tree)
+	if e.sweep {
+		return info
+	}
 	for i := range e.recent {
 		if e.recent[i].digest == info.digest {
 			r := e.recent[i]
@@ -204,7 +275,10 @@ func (e *ReplanEngine) admit(tree *hardware.Tree) hwInfo {
 // hardware whose dims no future search will ask for. Caller holds e.mu;
 // invalidation is safe against in-flight calls — a dropped entry is
 // re-solved, never wrongly hit.
-func (e *ReplanEngine) maybeGC(epoch int64) int64 {
+func (e *Engine) maybeGC(epoch int64) int64 {
+	if e.sweep {
+		return 0
+	}
 	var removed int64
 	if e.gcNeeded {
 		reachable := make(map[uint64]bool, 8)
@@ -233,97 +307,129 @@ func (e *ReplanEngine) maybeGC(epoch int64) int64 {
 }
 
 // retain stores a freshly solved plan under its tree digest if its tree
-// is still in the working set, and returns the retained record.
-func (e *ReplanEngine) retain(info hwInfo, tree *hardware.Tree, plan *Plan) *retainedPlan {
-	rp := &retainedPlan{plan: plan, tree: tree, decisions: planDecisionDigests(plan)}
+// is still in the working set (always, for a sweep engine), and returns
+// the retained record.
+func (e *Engine) retain(info hwInfo, plan *Plan) *retainedPlan {
+	rp := &retainedPlan{plan: plan}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if existing, ok := e.plans[info.digest]; ok {
 		return existing
 	}
+	keep := e.sweep
 	for _, r := range e.recent {
-		if r.digest == info.digest {
-			e.plans[info.digest] = rp
-			break
-		}
+		keep = keep || r.digest == info.digest
+	}
+	if keep {
+		e.plans[info.digest] = rp
 	}
 	return rp
 }
 
-// PlanCtx partitions one tree through the engine's retained state: a
-// tree already in the working set returns its retained plan as a clone;
-// otherwise the search runs with every untouched subproblem served from
-// the retained memo. Byte-identical to PartitionCtx with the same
-// (network, options) on the same tree.
-func (e *ReplanEngine) PlanCtx(ctx context.Context, tree *hardware.Tree) (*Plan, ReplanStats, error) {
-	start := time.Now()
-	rs := &replanStats{}
+// engineCall is one engine call's bookkeeping: the planner rebound to
+// the call, its stats collector (nil for sweep engines) and what the
+// retention pass invalidated before it.
+type engineCall struct {
+	pc          *planner
+	rs          *replanStats
+	start       time.Time
+	invalidated int64
+}
+
+func (c *engineCall) stats() ReplanStats {
+	if c.rs == nil {
+		return ReplanStats{}
+	}
+	return c.rs.snapshot(c.invalidated, time.Since(c.start))
+}
+
+// begin opens a call over trees: a fresh epoch, the working-set update
+// and retention pass, the trees' index records and their retained plans
+// (nil where none).
+func (e *Engine) begin(ctx context.Context, trees ...*hardware.Tree) (*engineCall, []hwInfo, []*retainedPlan) {
+	c := &engineCall{start: time.Now()}
+	if !e.sweep {
+		c.rs = &replanStats{}
+	}
 	ep := e.epoch.Add(1)
+	infos := make([]hwInfo, len(trees))
+	rps := make([]*retainedPlan, len(trees))
 	e.mu.Lock()
-	info := e.admit(tree)
-	invalidated := e.maybeGC(ep)
-	if rp, ok := e.plans[info.digest]; ok {
-		e.mu.Unlock()
-		rs.hits.Add(1)
-		obsReplanHits.Inc()
-		return clonePlan(rp.plan), rs.snapshot(invalidated, time.Since(start)), nil
+	defer e.mu.Unlock()
+	for i, t := range trees {
+		infos[i] = e.admit(t)
 	}
-	pc := e.base.forCall(ctx, ep, rs)
-	e.mu.Unlock()
-	plan, err := pc.plan(tree)
+	c.invalidated = e.maybeGC(ep)
+	for i, info := range infos {
+		rps[i] = e.plans[info.digest]
+	}
+	c.pc = e.base.forCall(ctx, ep, c.rs)
+	return c, infos, rps
+}
+
+// PlanCtx partitions one tree through the engine's retained state: a
+// tree already retained returns its plan as a clone; otherwise the
+// search runs with every known subproblem served from the retained memo.
+// Byte-identical to PartitionCtx with the same (network, options) on the
+// same tree; an aborted call reports ErrCanceled or ErrDeadlineExceeded
+// and leaves the memo consistent (only completed subproblems publish).
+func (e *Engine) PlanCtx(ctx context.Context, tree *hardware.Tree) (*Plan, ReplanStats, error) {
+	c, infos, rps := e.begin(ctx, tree)
+	if rps[0] != nil && !e.sweep {
+		c.pc.noteHit()
+		return clonePlan(rps[0].plan), c.stats(), nil
+	}
+	plan, err := c.pc.plan(tree)
 	if err != nil {
-		return nil, rs.snapshot(invalidated, time.Since(start)), err
+		return nil, c.stats(), err
 	}
-	e.retain(info, tree, plan)
-	return clonePlan(plan), rs.snapshot(invalidated, time.Since(start)), nil
+	e.retain(infos[0], plan)
+	return clonePlan(plan), c.stats(), nil
 }
 
 // ReplanCtx is the incremental replanning pipeline: resolve the pristine
 // plan (usually a retained-plan hit), re-cost its decisions on the
-// degraded tree (cloning every subtree the fault did not touch and
-// memoizing what it did), partition the degraded tree through the
-// retained memo, and adopt the better post-fault plan. The report is
-// byte-identical to core.ReplanCtx on the same inputs; the engine only
-// changes how much of it was re-computed. Aborted calls publish nothing
-// and leave the retained state exactly as consistent as before — the
-// next call re-solves whatever the aborted one did not finish.
-func (e *ReplanEngine) ReplanCtx(ctx context.Context, pristine, degraded *hardware.Tree) (*ReplanReport, ReplanStats, error) {
-	start := time.Now()
-	rs := &replanStats{}
-	ep := e.epoch.Add(1)
-	e.mu.Lock()
-	pinfo := e.admit(pristine)
-	dinfo := e.admit(degraded)
-	invalidated := e.maybeGC(ep)
-	prp := e.plans[pinfo.digest]
-	drp := e.plans[dinfo.digest]
-	pc := e.base.forCall(ctx, ep, rs)
-	e.mu.Unlock()
-
+// degraded tree (cloning every subtree the fault did not touch and, for
+// bounded engines, memoizing what it did), partition the degraded tree
+// through the retained memo, and adopt the better post-fault plan. The
+// report is byte-identical to a cold search of each pass; the engine
+// only changes how much of it was re-computed. Aborted calls publish
+// nothing and leave the retained state exactly as consistent as before —
+// the next call re-solves whatever the aborted one did not finish.
+func (e *Engine) ReplanCtx(ctx context.Context, pristine, degraded *hardware.Tree) (*ReplanReport, ReplanStats, error) {
+	c, infos, rps := e.begin(ctx, pristine, degraded)
+	pc, prp, drp := c.pc, rps[0], rps[1]
 	if prp != nil {
-		rs.hits.Add(1)
-		obsReplanHits.Inc()
+		pc.noteHit()
 	} else {
 		faultFree, err := pc.plan(pristine)
 		if err != nil {
-			return nil, rs.snapshot(invalidated, time.Since(start)), err
+			return nil, c.stats(), err
 		}
-		prp = e.retain(pinfo, pristine, faultFree)
+		prp = e.retain(infos[0], faultFree)
 	}
 
 	// The stale re-costing and the fresh degraded partition are
 	// independent given the pristine plan; both consult the retained memo.
+	// A sweep runs them in order on the caller's goroutine: its
+	// concurrency comes from evaluating many candidates at once.
+	workers := min(2, parallel.Workers(e.base.opt.Parallelism))
+	var decisions map[*PlanNode]uint64
+	if e.sweep {
+		workers = 1
+	} else {
+		decisions = prp.decisions()
+	}
 	var stale, fresh *Plan
-	g := parallel.NewGroup(min(2, parallel.Workers(e.base.opt.Parallelism)))
+	g := parallel.NewGroup(workers)
 	g.Go(func() error {
 		var serr error
-		stale, serr = e.stalePlanInc(pc, prp, pristine, degraded)
+		stale, serr = pc.stalePlan(prp.plan, pristine, degraded, e.stale, decisions)
 		return serr
 	})
 	g.Go(func() error {
-		if drp != nil {
-			rs.hits.Add(1)
-			obsReplanHits.Inc()
+		if drp != nil && !e.sweep {
+			pc.noteHit()
 			fresh = clonePlan(drp.plan)
 			return nil
 		}
@@ -331,12 +437,12 @@ func (e *ReplanEngine) ReplanCtx(ctx context.Context, pristine, degraded *hardwa
 		if ferr != nil {
 			return ferr
 		}
-		e.retain(dinfo, degraded, f)
+		e.retain(infos[1], f)
 		fresh = f
 		return nil
 	})
 	if err := g.Wait(); err != nil {
-		return nil, rs.snapshot(invalidated, time.Since(start)), err
+		return nil, c.stats(), err
 	}
 
 	rep := &ReplanReport{
@@ -349,84 +455,109 @@ func (e *ReplanEngine) ReplanCtx(ctx context.Context, pristine, degraded *hardwa
 	if !rep.Adopted {
 		rep.Replanned = stale
 	}
-	elapsed := time.Since(start)
-	obsReplanTimer.Observe(elapsed)
-	rep.Stats = rs.snapshot(invalidated, elapsed)
-	obs.Log().Info("core.replan",
-		"adopted", rep.Adopted,
-		"fault_free_seconds", rep.FaultFree.Time(),
-		"stale_seconds", stale.Time(),
-		"fresh_seconds", fresh.Time())
+	rep.Stats = c.stats()
+	if !e.sweep {
+		// A sweep models hypothetical fleets, not responses to a live
+		// fault: only bounded engines feed the replan latency histogram
+		// and event log.
+		obsReplanTimer.Observe(time.Since(c.start))
+		obs.Log().Info("core.replan",
+			"adopted", rep.Adopted,
+			"fault_free_seconds", rep.FaultFree.Time(),
+			"stale_seconds", stale.Time(),
+			"fresh_seconds", fresh.Time())
+	}
 	return rep, rep.Stats, nil
 }
 
-// stalePlanInc re-costs the retained pristine plan's decisions on the
-// degraded tree, incrementally: subtrees whose hardware digest matches
-// their pristine counterpart are the pristine plan verbatim (same specs,
-// same decisions, same dims — see the invariant on staleNodeInc), and
-// re-costings of touched subtrees are memoized under (hardware digest,
-// decision digest) so recurrent faults re-cost nothing.
-func (e *ReplanEngine) stalePlanInc(pc *planner, prp *retainedPlan, pristine, degraded *hardware.Tree) (*Plan, error) {
-	if prp == nil || prp.plan == nil || prp.plan.Root == nil {
+// staleWalk re-costs an existing plan's decisions — the per-node type
+// assignments and ratios chosen for pristine hardware — against a
+// (typically degraded) hardware tree. Two shortcuts make it incremental,
+// and both stay idle when their input is absent: with the pristine tree,
+// subtrees whose hardware digest matches their pristine counterpart are
+// the plan verbatim (same specs, same decisions, same dims); with
+// decision digests, re-costings of touched subtrees are memoized under
+// (hardware digest, decision digest) so recurrent faults re-cost
+// nothing.
+//
+// The memo key relies on an invariant of the walk: at every node where
+// the degraded structure still aligns with the plan's, the effective
+// dims equal old.Dims exactly, because they are computed by the same
+// scaleUnitDims chain from the same root dims with the same (α, types)
+// decisions (ClampRatio is idempotent on stored ratios). The decision
+// digest therefore pins the dims, and (hardware digest, decision digest)
+// fully addresses a stale re-costing.
+type staleWalk struct {
+	pc        *planner
+	memo      *planMemo
+	decisions map[*PlanNode]uint64
+}
+
+// stalePlan re-costs plan on tree; pristine, memo and decisions are
+// optional (see staleWalk).
+func (p *planner) stalePlan(plan *Plan, pristine, tree *hardware.Tree, memo *planMemo, decisions map[*PlanNode]uint64) (*Plan, error) {
+	if plan == nil || plan.Root == nil {
 		return nil, fmt.Errorf("core: stale evaluation needs a plan")
 	}
-	root, err := e.staleNodeInc(pc, degraded, pristine, prp.plan.Root, prp.decisions, pc.rootDims())
+	p.hw.ensure(tree)
+	w := &staleWalk{pc: p, memo: memo, decisions: decisions}
+	root, err := w.node(tree, pristine, plan.Root, p.rootDims())
 	if err != nil {
 		return nil, err
 	}
-	out := &Plan{Network: pc.net, Strategy: prp.plan.Strategy + " (stale)", Root: root}
+	out := &Plan{Network: p.net, Strategy: plan.Strategy + " (stale)", Root: root}
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("core: internal stale-plan inconsistency: %w", err)
 	}
 	return out, nil
 }
 
-// staleNodeInc applies one stale decision to one (possibly degraded)
-// hierarchy node, mirroring staleNode byte-for-byte with three retained
-// shortcuts. It relies on an invariant of the stale walk: at every node
-// where the degraded structure still aligns with the plan's, the
-// effective dims equal old.Dims exactly, because they are computed by
-// the same scaleUnitDims chain from the same root dims with the same
-// (α, types) decisions (ClampRatio is idempotent on stored ratios). The
-// decision digest therefore pins the dims, and (hardware digest,
-// decision digest) fully addresses a stale re-costing.
-func (e *ReplanEngine) staleNodeInc(pc *planner, node, pristNode *hardware.Tree, old *PlanNode, decisions map[*PlanNode]uint64, dims []tensor.LayerDims) (*PlanNode, error) {
+// node applies one stale decision to one (possibly degraded) hierarchy
+// node; pristNode is its pristine counterpart, nil when unknown.
+func (w *staleWalk) node(node, pristNode *hardware.Tree, old *PlanNode, dims []tensor.LayerDims) (*PlanNode, error) {
+	pc := w.pc
 	if err := pc.checkCtx(); err != nil {
 		return nil, err
 	}
 	if old == nil || node.IsLeaf() != old.IsLeaf() {
 		// Structure diverged: no stale decision for this subtree. The fresh
-		// partition goes through the retained memo, so a subtree already
-		// solved for any fresh pass (or a symmetric sibling) is reused.
+		// partition goes through the memo, so a subtree already solved for
+		// a fresh pass (or a symmetric sibling) is reused.
 		return pc.partitionNode(node, dims)
 	}
-	ninfo := pc.hw.ensure(node)
-	if pristNode != nil && pc.hw.ensure(pristNode).digest == ninfo.digest {
-		// The fault did not touch this subtree's hardware: re-costing the
-		// plan's own decisions on the plan's own hardware reproduces the
-		// plan.
-		pc.noteStaleReuse()
-		return clonePlanNodeAt(old, node.Level), nil
-	}
-	dec, ok := decisions[old]
-	if !ok {
-		// Defensive: a node outside the retained plan's digest map (cannot
-		// happen for walks rooted at prp.plan.Root) falls back to the
-		// unmemoized re-costing path.
-		return pc.staleNode(node, old, dims)
-	}
-	key := staleKey(ninfo.digest, dec)
-	if cached, _, okc := e.stale.get(key, pc.epoch); okc {
-		pc.noteHit()
-		return clonePlanNodeAt(cached, node.Level), nil
-	}
-	if node.IsLeaf() {
-		n, err := leafNode(node, pc.units, dims, pc.opt)
-		if err != nil {
-			return nil, err
+	var key string
+	var specs []uint64
+	if pristNode != nil || w.decisions != nil {
+		ninfo := pc.hw.ensure(node)
+		if pristNode != nil && pc.hw.ensure(pristNode).digest == ninfo.digest {
+			// The fault did not touch this subtree's hardware: re-costing the
+			// plan's own decisions on the plan's own hardware reproduces the
+			// plan.
+			pc.noteStaleReuse()
+			return clonePlanNodeAt(old, node.Level), nil
 		}
-		e.stale.put(key, n, ninfo.specs, pc.epoch)
-		return clonePlanNodeAt(n, node.Level), nil
+		if dec, ok := w.decisions[old]; ok {
+			key, specs = staleKey(ninfo.digest, dec), ninfo.specs
+			if cached, _, okc := w.memo.get(key, pc.epoch); okc {
+				pc.noteHit()
+				return clonePlanNodeAt(cached, node.Level), nil
+			}
+		}
+	}
+	n, err := w.recost(node, pristNode, old, dims)
+	if err != nil || key == "" {
+		return n, err
+	}
+	w.memo.put(key, n, specs, pc.epoch)
+	return clonePlanNodeAt(n, node.Level), nil
+}
+
+// recost evaluates old's decisions on node from scratch, recursing into
+// both children.
+func (w *staleWalk) recost(node, pristNode *hardware.Tree, old *PlanNode, dims []tensor.LayerDims) (*PlanNode, error) {
+	pc := w.pc
+	if node.IsLeaf() {
+		return leafNode(node, pc.units, dims, pc.opt)
 	}
 	sideI := Side{Compute: node.Left.Group.ComputeDensity(), Net: pc.opt.Topology.BisectionBandwidth(node.Left.Group)}
 	sideJ := Side{Compute: node.Right.Group.ComputeDensity(), Net: pc.opt.Topology.BisectionBandwidth(node.Right.Group)}
@@ -439,34 +570,19 @@ func (e *ReplanEngine) staleNodeInc(pc *planner, node, pristNode *hardware.Tree,
 	ctx := newLevelCtx(pc.units, dims, pc.segs, pc.planSegs, sideI, sideJ, pc.opt)
 	ctx.alpha = cost.ClampRatio(old.Alpha)
 	types := old.Types
-	ev := ctx.evalLevel(types)
-
 	var pl, pr *hardware.Tree
 	if pristNode != nil && !pristNode.IsLeaf() {
 		pl, pr = pristNode.Left, pristNode.Right
 	}
-	left, err := e.staleNodeInc(pc, node.Left, pl, old.Left, decisions, scaleUnitDims(pc.units, dims, types, ctx.alpha))
+	left, err := w.node(node.Left, pl, old.Left, scaleUnitDims(pc.units, dims, types, ctx.alpha))
 	if err != nil {
 		return nil, err
 	}
-	right, err := e.staleNodeInc(pc, node.Right, pr, old.Right, decisions, scaleUnitDims(pc.units, dims, types, ctx.beta()))
+	right, err := w.node(node.Right, pr, old.Right, scaleUnitDims(pc.units, dims, types, ctx.beta()))
 	if err != nil {
 		return nil, err
 	}
-	n := &PlanNode{
-		Level:     node.Level,
-		GroupDesc: node.Group.String(),
-		Alpha:     ctx.alpha,
-		Types:     types,
-		Eval:      ev,
-		SideI:     ctx.sideI,
-		SideJ:     ctx.sideJ,
-		Dims:      dims,
-		Left:      left,
-		Right:     right,
-	}
-	e.stale.put(key, n, ninfo.specs, pc.epoch)
-	return clonePlanNodeAt(n, node.Level), nil
+	return splitNode(node, dims, ctx, types, left, right), nil
 }
 
 func staleKey(digest [16]byte, dec uint64) string {
@@ -527,37 +643,63 @@ func mix64(a, b uint64) uint64 {
 	return x
 }
 
-// ReplanEngines is a bounded LRU registry of ReplanEngines keyed by
-// (network structure, root dims, decision-relevant options), so a
+// Engines is a bounded LRU registry of bounded-retention Engines keyed
+// by (network structure, root dims, decision-relevant options), so a
 // serving session holds one engine per distinct search it has replanned
 // — including one per portfolio variant — without unbounded growth. It
 // also interns hardware trees by content (see InternTree), so callers
 // that rebuild their array per request keep presenting the engines with
 // stable tree pointers.
-type ReplanEngines struct {
-	mu       sync.Mutex
+type Engines struct {
+	mu      sync.Mutex
+	engines lru[*Engine]
+	trees   lru[*hardware.Tree]
+}
+
+// lru is a small MRU-ordered map; the registry guards it with its mutex.
+type lru[V any] struct {
 	capacity int
-	m        map[string]*ReplanEngine
+	m        map[string]V
 	order    []string // MRU-first
-	trees    map[string]*hardware.Tree
-	treeMRU  []string
+}
+
+func newLRU[V any](capacity int) lru[V] {
+	return lru[V]{capacity: capacity, m: make(map[string]V)}
+}
+
+// get returns key's value, moving it to the front.
+func (l *lru[V]) get(key string) (V, bool) {
+	v, ok := l.m[key]
+	if ok {
+		i := slices.Index(l.order, key)
+		copy(l.order[1:i+1], l.order[:i])
+		l.order[0] = key
+	}
+	return v, ok
+}
+
+// add inserts a new key at the front, evicting the least recently used
+// beyond capacity.
+func (l *lru[V]) add(key string, v V) {
+	l.m[key] = v
+	l.order = append([]string{key}, l.order...)
+	for len(l.order) > l.capacity {
+		delete(l.m, l.order[len(l.order)-1])
+		l.order = l.order[:len(l.order)-1]
+	}
 }
 
 // treeInternCap bounds the interned trees per registry: enough for a
 // pristine fleet plus a working set of recurrent degradations.
 const treeInternCap = 64
 
-// NewReplanEngines returns a registry bounded to capacity engines (≤ 0
+// NewEngines returns a registry bounded to capacity engines (≤ 0
 // selects 16).
-func NewReplanEngines(capacity int) *ReplanEngines {
+func NewEngines(capacity int) *Engines {
 	if capacity <= 0 {
 		capacity = 16
 	}
-	return &ReplanEngines{
-		capacity: capacity,
-		m:        make(map[string]*ReplanEngine),
-		trees:    make(map[string]*hardware.Tree),
-	}
+	return &Engines{engines: newLRU[*Engine](capacity), trees: newLRU[*hardware.Tree](treeInternCap)}
 }
 
 // InternTree returns a hardware tree for the array, reusing the
@@ -570,15 +712,14 @@ func NewReplanEngines(capacity int) *ReplanEngines {
 // the index already knows and the digest lookup is O(1). Interning
 // never changes plans — trees with equal content plan identically — it
 // only makes the recurrent case cheap.
-func (s *ReplanEngines) InternTree(arr *hardware.Array, maxLevels int) (*hardware.Tree, error) {
+func (s *Engines) InternTree(arr *hardware.Array, maxLevels int) (*hardware.Tree, error) {
 	key := arrayKey(arr, maxLevels)
 	s.mu.Lock()
-	if t, ok := s.trees[key]; ok {
-		s.treeTouch(key)
-		s.mu.Unlock()
+	t, ok := s.trees.get(key)
+	s.mu.Unlock()
+	if ok {
 		return t, nil
 	}
-	s.mu.Unlock()
 	// Build outside the lock; a racing builder of the same content loses
 	// to whichever registered first, keeping the pointer stable.
 	t, err := hardware.BuildTree(arr, maxLevels)
@@ -587,28 +728,11 @@ func (s *ReplanEngines) InternTree(arr *hardware.Array, maxLevels int) (*hardwar
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if existing, ok := s.trees[key]; ok {
-		s.treeTouch(key)
+	if existing, ok := s.trees.get(key); ok {
 		return existing, nil
 	}
-	s.trees[key] = t
-	s.treeMRU = append([]string{key}, s.treeMRU...)
-	for len(s.treeMRU) > treeInternCap {
-		last := s.treeMRU[len(s.treeMRU)-1]
-		s.treeMRU = s.treeMRU[:len(s.treeMRU)-1]
-		delete(s.trees, last)
-	}
+	s.trees.add(key, t)
 	return t, nil
-}
-
-func (s *ReplanEngines) treeTouch(key string) {
-	for i, k := range s.treeMRU {
-		if k == key {
-			copy(s.treeMRU[1:i+1], s.treeMRU[:i])
-			s.treeMRU[0] = key
-			return
-		}
-	}
 }
 
 // arrayKey fingerprints an array's content plus the tree level budget.
@@ -633,43 +757,26 @@ func arrayKey(arr *hardware.Array, maxLevels int) string {
 // admitting one on first use. Networks are matched by content (structure
 // and dims), not pointer, so servers that rebuild the network per
 // request keep hitting the same engine.
-func (s *ReplanEngines) Engine(net *dnn.Network, opt Options) (*ReplanEngine, error) {
-	e, err := NewReplanEngine(net, opt)
+func (s *Engines) Engine(net *dnn.Network, opt Options) (*Engine, error) {
+	e, err := NewEngine(net, opt)
 	if err != nil {
 		return nil, err
 	}
 	key := engineKey(e.base)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if existing, ok := s.m[key]; ok {
-		s.touch(key)
+	if existing, ok := s.engines.get(key); ok {
 		return existing, nil
 	}
-	s.m[key] = e
-	s.order = append([]string{key}, s.order...)
-	for len(s.order) > s.capacity {
-		last := s.order[len(s.order)-1]
-		s.order = s.order[:len(s.order)-1]
-		delete(s.m, last)
-	}
+	s.engines.add(key, e)
 	return e, nil
 }
 
-func (s *ReplanEngines) touch(key string) {
-	for i, k := range s.order {
-		if k == key {
-			copy(s.order[1:i+1], s.order[:i])
-			s.order[0] = key
-			return
-		}
-	}
-}
-
 // Len returns the resident engine count.
-func (s *ReplanEngines) Len() int {
+func (s *Engines) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.m)
+	return len(s.engines.m)
 }
 
 // engineKey fingerprints everything fixed per engine: the search
@@ -700,54 +807,16 @@ func engineKey(p *planner) string {
 	return string(h.Sum(nil))
 }
 
-// PartitionBestCtx is PartitionBestCtx through the registry's engines:
-// each option set plans through its retained engine, and the winner scan
-// matches the one-shot portfolio exactly (lowest time, earliest option
-// set on ties), so the result is byte-identical to core.PartitionBestCtx
-// while recurrent trees are served from retained plans. The returned
-// stats aggregate all variants.
-func (s *ReplanEngines) PartitionBestCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opts ...Options) (*Plan, ReplanStats, error) {
-	var total ReplanStats
-	if len(opts) == 0 {
-		return nil, total, fmt.Errorf("core: PartitionBest needs at least one option set")
-	}
-	engines := make([]*ReplanEngine, len(opts))
-	for i := range opts {
-		e, err := s.Engine(net, opts[i])
+// Portfolio resolves the registry's engine for each option set, in
+// order; see PlanBestCtx.
+func (s *Engines) Portfolio(net *dnn.Network, opts ...Options) ([]*Engine, error) {
+	engines := make([]*Engine, len(opts))
+	for i, opt := range opts {
+		e, err := s.Engine(net, opt)
 		if err != nil {
-			return nil, total, err
+			return nil, err
 		}
 		engines[i] = e
 	}
-	workers := 1
-	for _, opt := range opts {
-		if opt.Parallelism != 1 {
-			workers = 0 // at least one search wants concurrency: use the pool
-			break
-		}
-	}
-	plans := make([]*Plan, len(opts))
-	stats := make([]ReplanStats, len(opts))
-	err := parallel.ForEachCtx(ctx, len(opts), workers, func(i int) error {
-		plan, st, perr := engines[i].PlanCtx(ctx, tree)
-		if perr != nil {
-			return perr
-		}
-		plans[i] = plan
-		stats[i] = st
-		return nil
-	})
-	for _, st := range stats {
-		total.Add(st)
-	}
-	if err != nil {
-		return nil, total, wrapCtxErr(err)
-	}
-	var best *Plan
-	for _, plan := range plans {
-		if best == nil || plan.Time() < best.Time() {
-			best = plan
-		}
-	}
-	return best, total, nil
+	return engines, nil
 }

@@ -107,48 +107,6 @@ func assertReportsEqual(t *testing.T, label string, got, want *ReplanReport) {
 	}
 }
 
-// TestReplanEngineByteIdentical: across seeded fault scenarios, an
-// engine accumulating retained state produces replans byte-identical to
-// cold full searches — on first sight of each scenario (incremental
-// against pristine-only state), on second sight (retained-plan and
-// stale-memo hits), and after the whole matrix has churned the memo.
-func TestReplanEngineByteIdentical(t *testing.T) {
-	net, err := models.BuildNetwork("alexnet", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups := v2v3Groups(8)
-	pristine := treeFor(t, groups...)
-	opt := AccPar()
-	e, err := NewReplanEngine(net, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scenarios := faultScenarios(t)
-	refs := make([]*ReplanReport, len(scenarios))
-	trees := make([]*hardware.Tree, len(scenarios))
-	for i, sc := range scenarios {
-		trees[i] = degradedTreeFor(t, groups, sc)
-		refs[i] = coldReplanReference(t, net, pristine, trees[i], opt)
-	}
-	for round := 0; round < 2; round++ {
-		for i := range scenarios {
-			rep, st, err := e.ReplanCtx(context.Background(), pristine, trees[i])
-			if err != nil {
-				t.Fatalf("round %d scenario %d: %v", round, i, err)
-			}
-			label := fmt.Sprintf("round %d scenario %d", round, i)
-			assertReportsEqual(t, label, rep, refs[i])
-			if round > 0 && st.Expanded != 0 {
-				t.Errorf("%s: recurrent scenario expanded %d subproblems, want 0", label, st.Expanded)
-			}
-			if round > 0 && st.IncrementalHits == 0 {
-				t.Errorf("%s: recurrent scenario reported no incremental hits", label)
-			}
-		}
-	}
-}
-
 // TestReplanEngineInvalidation: churning more distinct degraded trees
 // than the working set holds triggers dependency invalidation (reported
 // via stats and the core.replan_invalidated counter), and replans stay
@@ -161,7 +119,7 @@ func TestReplanEngineInvalidation(t *testing.T) {
 	}
 	groups := v2v3Groups(4)
 	pristine := treeFor(t, groups...)
-	e, err := NewReplanEngine(net, AccPar())
+	e, err := NewEngine(net, AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +173,7 @@ func TestReplanEngineCancelConsistency(t *testing.T) {
 	degraded := degradedTreeFor(t, groups, sc)
 	ref := coldReplanReference(t, net, pristine, degraded, AccPar())
 
-	e, err := NewReplanEngine(net, AccPar())
+	e, err := NewEngine(net, AccPar())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,10 +206,10 @@ func TestReplanEngineCancelConsistency(t *testing.T) {
 	assertReportsEqual(t, "retained after aborts", rep, ref)
 }
 
-// TestReplanEnginesRegistry: the registry hands back the same engine for
-// content-equal (network, options) pairs across distinct network
-// objects, bounds resident engines, and its portfolio partition is
-// byte-identical to the one-shot portfolio.
+// TestReplanEnginesRegistry: the Engines registry hands back the same
+// engine for content-equal (network, options) pairs across distinct
+// network objects, bounds resident engines, and its portfolio partition
+// is byte-identical to the one-shot portfolio.
 func TestReplanEnginesRegistry(t *testing.T) {
 	netA, err := models.BuildNetwork("lenet", 16)
 	if err != nil {
@@ -261,7 +219,7 @@ func TestReplanEnginesRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewReplanEngines(4)
+	reg := NewEngines(4)
 	e1, err := reg.Engine(netA, AccPar())
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +259,11 @@ func TestReplanEnginesRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
-		got, _, err := reg.PartitionBestCtx(context.Background(), netA, tree, AccParVariants()...)
+		portfolio, err := reg.Portfolio(netA, AccParVariants()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, _, err := PlanBestCtx(context.Background(), portfolio, tree)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -274,9 +275,11 @@ func TestMinResidencyBytes(t *testing.T) {
 	}
 }
 
-// TestPortfolioToleratesInfeasibleVariants: PartitionBest skips variants
-// that cannot fit and propagates the typed error only when every variant
-// is infeasible.
+// TestPortfolioToleratesInfeasibleVariants: a variant whose restricted
+// space holds no fitting plan loses to any variant that finds one, on
+// every portfolio path — the one-shot PartitionBest and engine
+// portfolios under both retention policies return the same plan bytes —
+// and ErrNoFeasiblePlan surfaces only when every variant fails.
 func TestPortfolioToleratesInfeasibleVariants(t *testing.T) {
 	net := buildNet(t, "alexnet", 128)
 	variants := AccParVariants()
@@ -284,20 +287,57 @@ func TestPortfolioToleratesInfeasibleVariants(t *testing.T) {
 		variants[i].MemoryLimit = MemoryReject
 	}
 
-	// At a binding-but-feasible capacity some variants may die; the
-	// portfolio must still return a fitting winner.
-	plan, err := PartitionBest(net, shrunkTree(t, 64), variants...)
+	// At HBM÷256 the capacity binds hard enough that some variants alone
+	// find nothing fitting, but the portfolio must still return a fitting
+	// winner.
+	tree := shrunkTree(t, 256)
+	infeasible := 0
+	for _, opt := range variants {
+		if _, err := Partition(net, tree, opt); errors.Is(err, ErrNoFeasiblePlan) {
+			infeasible++
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if infeasible == 0 || infeasible == len(variants) {
+		t.Fatalf("%d of %d variants infeasible at HBM/256; the test needs a mix", infeasible, len(variants))
+	}
+	plan, err := PartitionBest(net, tree, variants...)
 	if err != nil {
 		t.Fatalf("portfolio with feasible variants: %v", err)
 	}
 	if !plan.Memory().OK {
 		t.Error("portfolio winner overflows")
 	}
+	want := planJSON(t, plan)
+	for _, pb := range portfolioBuilders {
+		engines, err := pb.build(net, variants...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, _, err := PlanBestCtx(context.Background(), engines, tree)
+		if err != nil {
+			t.Fatalf("%s engine portfolio: %v", pb.name, err)
+		}
+		if !bytes.Equal(planJSON(t, got), want) {
+			t.Errorf("%s engine portfolio plan differs from PartitionBest", pb.name)
+		}
+	}
 
 	// At an impossible capacity every variant fails and the sentinel
-	// surfaces.
-	if _, err := PartitionBest(net, shrunkTree(t, 1<<20), variants...); !errors.Is(err, ErrNoFeasiblePlan) {
+	// surfaces, on every path.
+	tiny := shrunkTree(t, 1<<20)
+	if _, err := PartitionBest(net, tiny, variants...); !errors.Is(err, ErrNoFeasiblePlan) {
 		t.Errorf("all-infeasible portfolio returned %v, want ErrNoFeasiblePlan", err)
+	}
+	for _, pb := range portfolioBuilders {
+		engines, err := pb.build(net, variants...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := PlanBestCtx(context.Background(), engines, tiny); !errors.Is(err, ErrNoFeasiblePlan) {
+			t.Errorf("all-infeasible %s engine portfolio returned %v, want ErrNoFeasiblePlan", pb.name, err)
+		}
 	}
 }
 

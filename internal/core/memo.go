@@ -26,7 +26,7 @@ import (
 // hardware-spec fingerprints of the subtree it was solved against — and
 // the epoch (replan generation) it was last served in. A memo that dies
 // with one search never reads either; a memo retained across faults by a
-// ReplanEngine uses the dependency sets to invalidate exactly the
+// bounded Engine uses the dependency sets to invalidate exactly the
 // entries whose hardware has left the fleet, and the epochs to bound the
 // entries kept for hardware that is still present but whose dims no
 // future search will ask for. Invalidation is a liveness policy, never a
@@ -74,7 +74,7 @@ func (p *planMemo) shard(key string) *memoShard {
 
 // get returns the cached solution for key, stamping the entry with the
 // serving epoch and reporting the epoch that last touched it before this
-// call — a batch engine distinguishes cross-fleet hits (the entry was
+// call — a sweep engine distinguishes cross-fleet hits (the entry was
 // solved or served while planning a different candidate, so prev differs
 // from the serving epoch) from intra-tree reuse by exactly that value.
 // The caller must clone the returned node before linking it into a plan:

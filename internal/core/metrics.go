@@ -31,10 +31,10 @@ var (
 	// working set, plus epoch-backstop evictions.
 	obsReplanInvalidated = obs.NewCounter("core.replan_invalidated")
 	// obsReplanTimer is the replan-latency histogram (p50/p95/p99 via the
-	// log2-bucketed obs.Timer): one observation per ReplanEngine.ReplanCtx
+	// log2-bucketed obs.Timer): one observation per bounded Engine.ReplanCtx
 	// and per resilience degraded-replanning phase.
 	obsReplanTimer = obs.NewTimer("core.replan.seconds")
-	// obsCrossFleetHits counts batch-engine memo hits on entries last
+	// obsCrossFleetHits counts sweep-engine memo hits on entries last
 	// touched while planning a *different* candidate fleet — the work a
 	// design-space sweep amortizes across candidates rather than within
 	// one hierarchy.

@@ -18,7 +18,7 @@ import (
 // the network view (units, segment structures), the fixed options, the
 // subproblem memo, and the worker-pool semaphore bounding the fan-out of
 // the recursion over hardware-tree children. A planner may be reused
-// across several trees of the same network and options — Replan does
+// across several trees of the same network and options — an Engine does
 // exactly that, so subtrees untouched by a degradation are solved once.
 type planner struct {
 	net      *dnn.Network
@@ -41,16 +41,16 @@ type planner struct {
 	// when no context was supplied.
 	ctx  context.Context
 	done <-chan struct{}
-	// epoch and rs are per-call replan bookkeeping, set by forCall when a
-	// ReplanEngine drives the search: epoch stamps memo entries for the
+	// epoch and rs are per-call bookkeeping, set by forCall when an
+	// Engine drives the search: epoch stamps memo entries for the
 	// retention backstop, rs collects this call's incremental-hit and
 	// expansion counts. Both are inert (zero/nil) for one-shot searches.
 	epoch int64
 	rs    *replanStats
-	// batch marks a call driven by a BatchEngine, whose per-candidate
-	// epochs turn memo hits on entries last touched by a different
-	// candidate into the cross-fleet hit metric.
-	batch bool
+	// sweep marks a sweep engine's planner, whose per-candidate epochs
+	// turn memo hits on entries last touched by a different candidate
+	// into the cross-fleet hit metric.
+	sweep bool
 }
 
 // forCall returns a shallow copy of the planner rebound to one engine
@@ -193,7 +193,7 @@ func (p *planner) partitionNode(node *hardware.Tree, dims []tensor.LayerDims) (*
 		obsMemoHits.Inc()
 		p.noteHit()
 		provenance := ProvenanceMemoHit
-		if p.batch && prev != p.epoch {
+		if p.sweep && prev != p.epoch {
 			// The entry was last solved or served under another candidate's
 			// epoch: this hit amortized work across fleets, not within one
 			// hierarchy.
@@ -337,25 +337,11 @@ func (p *planner) solveSplit(node *hardware.Tree, dims []tensor.LayerDims, sideI
 		ctx.alpha = newAlpha
 	}
 
-	ev := ctx.evalLevel(types)
-
 	left, right, err := p.partitionChildren(node, dims, types, ctx.alpha)
 	if err != nil {
 		return nil, err
 	}
-
-	return &PlanNode{
-		Level:     node.Level,
-		GroupDesc: node.Group.String(),
-		Alpha:     ctx.alpha,
-		Types:     types,
-		Eval:      ev,
-		SideI:     ctx.sideI,
-		SideJ:     ctx.sideJ,
-		Dims:      dims,
-		Left:      left,
-		Right:     right,
-	}, nil
+	return splitNode(node, dims, ctx, types, left, right), nil
 }
 
 // buildSplit assembles one split for a fixed (types, alpha) candidate —
@@ -365,23 +351,28 @@ func (p *planner) solveSplit(node *hardware.Tree, dims []tensor.LayerDims, sideI
 func (p *planner) buildSplit(node *hardware.Tree, dims []tensor.LayerDims, sideI, sideJ Side, types []cost.Type, alpha float64) (*PlanNode, error) {
 	ctx := newLevelCtx(p.units, dims, p.segs, p.planSegs, sideI, sideJ, p.opt)
 	ctx.alpha = alpha
-	ev := ctx.evalLevel(types)
 	left, right, err := p.partitionChildren(node, dims, types, alpha)
 	if err != nil {
 		return nil, err
 	}
+	return splitNode(node, dims, ctx, types, left, right), nil
+}
+
+// splitNode assembles the plan node of one split decided by (types,
+// ctx.alpha): the true-cost evaluation of the level plus its children.
+func splitNode(node *hardware.Tree, dims []tensor.LayerDims, ctx *levelCtx, types []cost.Type, left, right *PlanNode) *PlanNode {
 	return &PlanNode{
 		Level:     node.Level,
 		GroupDesc: node.Group.String(),
-		Alpha:     alpha,
+		Alpha:     ctx.alpha,
 		Types:     types,
-		Eval:      ev,
-		SideI:     sideI,
-		SideJ:     sideJ,
+		Eval:      ctx.evalLevel(types),
+		SideI:     ctx.sideI,
+		SideJ:     ctx.sideJ,
 		Dims:      dims,
 		Left:      left,
 		Right:     right,
-	}, nil
+	}
 }
 
 // partitionChildren recurses into both children of a split, forking the

@@ -64,16 +64,6 @@ func PartitionBest(net *dnn.Network, tree *hardware.Tree, opts ...Options) (*Pla
 // search polls ctx, and option sets not yet started when ctx is done are
 // never dispatched. Aborts report ErrCanceled or ErrDeadlineExceeded.
 func PartitionBestCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree, opts ...Options) (*Plan, error) {
-	if len(opts) == 0 {
-		return nil, fmt.Errorf("core: PartitionBest needs at least one option set")
-	}
-	workers := 1
-	for _, opt := range opts {
-		if opt.Parallelism != 1 {
-			workers = 0 // at least one search wants concurrency: use the pool
-			break
-		}
-	}
 	// When the caller attached an audit recorder, each variant searches
 	// into a private recorder and only the winner's decisions are adopted
 	// — the audit then explains the plan actually returned, not a blend of
@@ -96,40 +86,20 @@ func PartitionBestCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree
 			}
 		}
 	}
-	plans := make([]*Plan, len(opts))
-	nofit := make([]error, len(opts))
-	err := parallel.ForEachCtx(ctx, len(opts), workers, func(i int) error {
-		plan, err := PartitionCtx(ctx, net, tree, opts[i])
-		if err != nil {
-			// One variant exhausting its restricted space without a fitting
-			// plan must not abort the portfolio: another variant's larger
-			// space may still contain one. Only if every variant comes up
-			// infeasible does the typed error propagate.
-			if errors.Is(err, ErrNoFeasiblePlan) {
-				nofit[i] = err
-				return nil
-			}
-			return err
+	workers := 1
+	for _, opt := range opts {
+		if opt.Parallelism != 1 {
+			workers = 0 // at least one search wants concurrency: use the pool
 		}
-		plans[i] = plan
-		return nil
+	}
+	best, idx, err := bestOf(ctx, len(opts), workers, func(i int) (*Plan, error) {
+		return PartitionCtx(ctx, net, tree, opts[i])
 	})
+	if callerAudit == nil {
+		return best, err
+	}
 	if err != nil {
-		return nil, wrapCtxErr(err)
-	}
-	var best *Plan
-	bestIdx := -1
-	for i, plan := range plans {
-		if plan == nil {
-			continue
-		}
-		if best == nil || plan.Time() < best.Time() {
-			best = plan
-			bestIdx = i
-		}
-	}
-	if best == nil {
-		if callerAudit != nil {
+		if errors.Is(err, ErrNoFeasiblePlan) {
 			// No winner to attribute: keep the first audited variant's
 			// records so infeasibility is still explainable.
 			for _, va := range variantAudits {
@@ -139,18 +109,76 @@ func PartitionBestCtx(ctx context.Context, net *dnn.Network, tree *hardware.Tree
 				}
 			}
 		}
-		for _, e := range nofit {
-			if e != nil {
-				return nil, e
-			}
-		}
-		return nil, fmt.Errorf("core: PartitionBest produced no plan")
+		return nil, err
 	}
-	if callerAudit != nil {
-		callerAudit.adopt(variantAudits[bestIdx])
-		best.audit = callerAudit
-	}
+	callerAudit.adopt(variantAudits[idx])
+	best.audit = callerAudit
 	return best, nil
+}
+
+// PlanBestCtx plans tree on every engine of a portfolio and returns the
+// winning plan, its index and the stats of all variants combined. The
+// winner rule is PartitionBest's, so the plan is byte-identical to
+// PartitionBestCtx over the engines' option sets, while recurrent trees
+// and shared subtrees are served from retained state. A sweep portfolio
+// plans its variants serially — a sweep gets its concurrency from
+// evaluating many candidates at once — but concurrent calls are safe.
+func PlanBestCtx(ctx context.Context, engines []*Engine, tree *hardware.Tree) (*Plan, int, ReplanStats, error) {
+	workers := 1
+	for _, e := range engines {
+		if !e.sweep && e.base.opt.Parallelism != 1 {
+			workers = 0 // at least one search wants concurrency: use the pool
+		}
+	}
+	stats := make([]ReplanStats, len(engines))
+	best, idx, err := bestOf(ctx, len(engines), workers, func(i int) (*Plan, error) {
+		plan, st, err := engines[i].PlanCtx(ctx, tree)
+		stats[i] = st
+		return plan, err
+	})
+	var total ReplanStats
+	for _, st := range stats {
+		total.Add(st)
+	}
+	return best, idx, total, err
+}
+
+// bestOf is the portfolio winner rule every entry point shares. It runs
+// search for each of n variants over a worker pool, landing results in
+// per-slot storage, and picks the winner by a serial scan — lowest
+// modelled time, earliest variant on ties — so the outcome matches the
+// serial loop exactly. One variant exhausting its restricted space
+// without a fitting plan must not abort the portfolio: another variant's
+// larger space may still contain one, so ErrNoFeasiblePlan propagates
+// only when every variant is infeasible.
+func bestOf(ctx context.Context, n, workers int, search func(i int) (*Plan, error)) (*Plan, int, error) {
+	if n == 0 {
+		return nil, -1, fmt.Errorf("core: PartitionBest needs at least one option set")
+	}
+	plans := make([]*Plan, n)
+	nofit := make([]error, n)
+	err := parallel.ForEachCtx(ctx, n, workers, func(i int) error {
+		plan, err := search(i)
+		if errors.Is(err, ErrNoFeasiblePlan) {
+			nofit[i] = err
+			return nil
+		}
+		plans[i] = plan
+		return err
+	})
+	if err != nil {
+		return nil, -1, WrapCtxErr(err)
+	}
+	best := -1
+	for i, plan := range plans {
+		if plan != nil && (best < 0 || plan.Time() < plans[best].Time()) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil, -1, nofit[0]
+	}
+	return plans[best], best, nil
 }
 
 // PartitionAccPar is the production AccPar entry point: the full

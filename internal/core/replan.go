@@ -2,12 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
 
-	"accpar/internal/cost"
 	"accpar/internal/dnn"
 	"accpar/internal/hardware"
-	"accpar/internal/tensor"
 )
 
 // StalePlan re-costs an existing plan's decisions — the per-node type
@@ -24,75 +21,7 @@ func StalePlan(net *dnn.Network, plan *Plan, tree *hardware.Tree, opt Options) (
 	if err != nil {
 		return nil, err
 	}
-	return p.stalePlan(plan, tree)
-}
-
-// stalePlan re-costs plan's decisions on tree using the planner's memo
-// for any fresh subtrees the divergence fallback has to partition.
-func (p *planner) stalePlan(plan *Plan, tree *hardware.Tree) (*Plan, error) {
-	if plan == nil || plan.Root == nil {
-		return nil, fmt.Errorf("core: stale evaluation needs a plan")
-	}
-	p.hw.ensure(tree)
-	root, err := p.staleNode(tree, plan.Root, p.rootDims())
-	if err != nil {
-		return nil, err
-	}
-	out := &Plan{Network: p.net, Strategy: plan.Strategy + " (stale)", Root: root}
-	if err := out.Validate(); err != nil {
-		return nil, fmt.Errorf("core: internal stale-plan inconsistency: %w", err)
-	}
-	return out, nil
-}
-
-// staleNode applies one stale decision to one (possibly degraded)
-// hierarchy node.
-func (p *planner) staleNode(node *hardware.Tree, old *PlanNode, dims []tensor.LayerDims) (*PlanNode, error) {
-	if err := p.checkCtx(); err != nil {
-		return nil, err
-	}
-	if old == nil || node.IsLeaf() != old.IsLeaf() {
-		// Structure diverged: no stale decision for this subtree. The fresh
-		// partition goes through the memo, so a subtree already solved for
-		// the fresh replanning pass (or a symmetric sibling) is reused.
-		return p.partitionNode(node, dims)
-	}
-	if node.IsLeaf() {
-		return leafNode(node, p.units, dims, p.opt)
-	}
-	sideI := Side{Compute: node.Left.Group.ComputeDensity(), Net: p.opt.Topology.BisectionBandwidth(node.Left.Group)}
-	sideJ := Side{Compute: node.Right.Group.ComputeDensity(), Net: p.opt.Topology.BisectionBandwidth(node.Right.Group)}
-	if err := checkSides(node.Level, sideI, sideJ); err != nil {
-		return nil, err
-	}
-	if len(old.Types) != len(p.units) {
-		return nil, fmt.Errorf("core: stale plan has %d types for %d units", len(old.Types), len(p.units))
-	}
-	ctx := newLevelCtx(p.units, dims, p.segs, p.planSegs, sideI, sideJ, p.opt)
-	ctx.alpha = cost.ClampRatio(old.Alpha)
-	types := old.Types
-	ev := ctx.evalLevel(types)
-
-	left, err := p.staleNode(node.Left, old.Left, scaleUnitDims(p.units, dims, types, ctx.alpha))
-	if err != nil {
-		return nil, err
-	}
-	right, err := p.staleNode(node.Right, old.Right, scaleUnitDims(p.units, dims, types, ctx.beta()))
-	if err != nil {
-		return nil, err
-	}
-	return &PlanNode{
-		Level:     node.Level,
-		GroupDesc: node.Group.String(),
-		Alpha:     ctx.alpha,
-		Types:     types,
-		Eval:      ev,
-		SideI:     ctx.sideI,
-		SideJ:     ctx.sideJ,
-		Dims:      dims,
-		Left:      left,
-		Right:     right,
-	}, nil
+	return p.stalePlan(plan, nil, tree, nil, nil)
 }
 
 // ReplanReport compares the three relevant operating points after a
@@ -145,11 +74,11 @@ func Replan(net *dnn.Network, pristine, degraded *hardware.Tree, opt Options) (*
 // ReplanCtx is Replan bound to a context: all three passes (pristine,
 // stale, fresh) poll ctx and the pipeline aborts with ErrCanceled or
 // ErrDeadlineExceeded without publishing a report. It runs through a
-// one-shot ReplanEngine, so its mechanics — including the stale pass's
+// one-shot Engine, so its mechanics — including the stale pass's
 // untouched-subtree reuse — are exactly the incremental path's, just
 // without retained state from earlier calls.
 func ReplanCtx(ctx context.Context, net *dnn.Network, pristine, degraded *hardware.Tree, opt Options) (*ReplanReport, error) {
-	e, err := NewReplanEngine(net, opt)
+	e, err := NewEngine(net, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -1,20 +1,22 @@
 // Package dse implements fleet design-space exploration (co-design
 // autotuning): given one workload, enumerate candidate accelerator
 // fleets — kind mixes, counts, hierarchy depths, link-bandwidth tiers —
-// under a budget constraint, plan every candidate through a shared
-// batch planning engine (core.BatchSet), and report the Pareto frontier
-// over three minimized axes: modelled iteration makespan, fleet cost,
-// and resilience (the post-fault makespan after degradation-aware
-// replanning under a fixed fault scenario).
+// under a budget constraint, plan every candidate through one sweep
+// portfolio of retained planning engines (core.NewSweepPortfolio — the
+// same core.Engine a Session replans with, under a retain-everything
+// policy), and report the Pareto frontier over three minimized axes:
+// modelled iteration makespan, fleet cost, and resilience (the
+// post-fault makespan after degradation-aware replanning under a fixed
+// fault scenario).
 //
 // Two mechanisms make a sweep much cheaper than independent per-fleet
-// searches. The batch engine's content-addressed memo amortizes
+// searches. Each engine's content-addressed memo amortizes
 // structurally shared subproblems across candidates — duplicate
 // compositions (distinct level caps that truncate to the same tree)
 // cost one root-digest hit, fixed-type variants re-use whole per-kind
 // sides between fleets, and each candidate's degraded-tree search
 // re-uses everything its fault did not touch. And an admissible lower
-// bound (core.BatchSet.LowerBound) prunes candidates that provably
+// bound (core.Engine.LowerBound) prunes candidates that provably
 // cannot reach the frontier: a candidate is skipped only when some
 // already-evaluated fleet's actual metrics dominate the candidate's
 // optimistic bounds, which — since actuals never beat bounds — implies

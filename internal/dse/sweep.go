@@ -149,32 +149,15 @@ func (r *Report) WriteFrontierJSON(w io.Writer) error {
 // across workers for pruning decisions.
 type point struct{ mk, cost, res float64 }
 
-// wrapCtxErr maps raw context errors (a pool aborting before any search
-// observed the context) to core's typed sentinels, so a canceled sweep
-// always reports core.ErrCanceled / core.ErrDeadlineExceeded.
-func wrapCtxErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, core.ErrCanceled) || errors.Is(err, core.ErrDeadlineExceeded):
-		return err
-	case errors.Is(err, context.DeadlineExceeded):
-		return core.ErrDeadlineExceeded
-	case errors.Is(err, context.Canceled):
-		return core.ErrCanceled
-	default:
-		return err
-	}
-}
-
 // Sweep enumerates the space and evaluates every candidate through one
-// shared core.BatchSet: plan with the full AccPar portfolio, model the
-// post-fault replanned makespan, prune candidates whose admissible
-// bounds are dominated by an already-evaluated fleet, and evaluate
-// candidates whose level caps truncate to identical hardware exactly
-// once. Evaluations fan out over a deterministic worker pool; every
-// plan is byte-identical to a standalone PartitionAccPar run, so the
-// frontier is a pure function of (space, config).
+// sweep portfolio of core.Engines (core.NewSweepPortfolio): plan with
+// the full AccPar portfolio, model the post-fault replanned makespan,
+// prune candidates whose admissible bounds are dominated by an
+// already-evaluated fleet, and evaluate candidates whose level caps
+// truncate to identical hardware exactly once. Evaluations fan out over
+// a deterministic worker pool; every plan is byte-identical to a
+// standalone PartitionAccPar run, so the frontier is a pure function of
+// (space, config).
 func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 	start := time.Now()
 	defer func() { obsSweep.Observe(time.Since(start)) }()
@@ -194,7 +177,7 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 	for i := range variants {
 		variants[i].MemoryLimit = cfg.Memory
 	}
-	set, err := core.NewBatchSet(net, variants...)
+	engines, err := core.NewSweepPortfolio(net, variants...)
 	if err != nil {
 		return nil, err
 	}
@@ -271,10 +254,10 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 	err = parallel.ForEachCtx(ctx, len(jobs), cfg.Workers, func(ji int) error {
 		j := jobs[ji]
 		c := &cands[j.members[0]]
-		lbMk := set.LowerBound(j.tree)
+		lbMk := lowerBound(engines, j.tree)
 		lbRes := lbMk
 		if j.degraded != nil {
-			lbRes = set.LowerBound(j.degraded)
+			lbRes = lowerBound(engines, j.degraded)
 		}
 		r := Result{Variant: -1, MakespanBound: lbMk, ResilienceBound: lbRes}
 		finish := func() {
@@ -310,7 +293,7 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 				return nil
 			}
 		}
-		plan, variant, err := set.PlanBestCtx(ctx, j.tree)
+		plan, variant, _, err := core.PlanBestCtx(ctx, engines, j.tree)
 		if err != nil {
 			if errors.Is(err, core.ErrNoFeasiblePlan) {
 				r.Infeasible = true
@@ -327,7 +310,7 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 		r.Makespan = plan.Time()
 		r.Resilience = r.Makespan
 		if j.degraded != nil {
-			r.Resilience, err = set.ReplanTimeCtx(ctx, plan, variant, j.degraded)
+			rep, _, err := engines[variant].ReplanCtx(ctx, j.tree, j.degraded)
 			if err != nil {
 				if errors.Is(err, core.ErrNoFeasiblePlan) {
 					r.Infeasible = true
@@ -336,6 +319,7 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 				}
 				return err
 			}
+			r.Resilience = rep.Replanned.Time()
 		}
 		r.Variant = variant
 		r.Strategy = plan.Strategy
@@ -357,7 +341,7 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, wrapCtxErr(err)
+		return nil, core.WrapCtxErr(err)
 	}
 
 	rep := &Report{
@@ -379,6 +363,18 @@ func Sweep(ctx context.Context, space *Space, cfg Config) (*Report, error) {
 	}
 	rep.Frontier = frontierOf(results)
 	return rep, nil
+}
+
+// lowerBound returns an admissible lower bound on the portfolio winner's
+// makespan for tree: the minimum of the per-variant bounds (every
+// variant's plan respects its own bound, so the winner respects the
+// smallest).
+func lowerBound(engines []*core.Engine, tree *hardware.Tree) float64 {
+	lb := engines[0].LowerBound(tree)
+	for _, e := range engines[1:] {
+		lb = min(lb, e.LowerBound(tree))
+	}
+	return lb
 }
 
 // DegradedTree builds the candidate's post-fault hierarchy under

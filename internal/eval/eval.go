@@ -82,7 +82,7 @@ func (s Scheme) Partition(net *dnn.Network, tree *hardware.Tree) (*core.Plan, er
 // byte-identical either way.
 func (s Scheme) PartitionCached(net *dnn.Network, tree *hardware.Tree, cache *core.SharedCache) (*core.Plan, error) {
 	if s == SchemeAccPar {
-		return core.PartitionAccParCached(net, tree, cache)
+		return core.PartitionBest(net, tree, core.WithCache(cache, core.AccParVariants()...)...)
 	}
 	opt := s.Options()
 	opt.Cache = cache

@@ -34,7 +34,7 @@ func replanReportsEqual(t *testing.T, got, want *ReplanReport) error {
 // TestSessionReplanHammerRace hammers one Session (run under -race) with
 // concurrent Degrade→Replan cycles over several fault scenarios,
 // interleaved with pristine Partition and Resilience calls. Every worker
-// shares the session's ReplanEngines registry — the AccPar replans all
+// shares the session's Engines registry — the AccPar replans all
 // land on one retained engine — so the hammer exercises the
 // dependency-tracked memo, the retained-plan store and the recent-tree
 // working set under contention. Every result must stay byte-identical to

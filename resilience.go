@@ -2,7 +2,6 @@ package accpar
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -66,39 +65,16 @@ func DegradeArrayGroups(groups []ArrayGroup, sc *FaultScenario) ([]ArrayGroup, e
 // decisions on the degraded array, partition the degraded array from
 // scratch, and adopt the better post-fault plan.
 func ReplanAnalytic(net *Network, groups []ArrayGroup, strategy Strategy, sc *FaultScenario) (*ReplanReport, error) {
-	return replanAnalytic(net, groups, strategy.Options(), sc)
+	return replanAnalyticCtx(context.Background(), core.NewEngines(1), net, groups, strategy.Options(), sc)
 }
 
-// ctxSentinel maps a raw context error (surfaced by a fan-out primitive
-// rather than the planner itself) to the package's typed sentinel;
-// everything else passes through unchanged.
-func ctxSentinel(err error) error {
-	switch {
-	case err == nil, errors.Is(err, ErrCanceled), errors.Is(err, ErrDeadlineExceeded):
-		return err
-	case errors.Is(err, context.DeadlineExceeded):
-		return ErrDeadlineExceeded
-	case errors.Is(err, context.Canceled):
-		return ErrCanceled
-	default:
-		return err
-	}
-}
-
-// replanAnalytic is the options-level replanning pipeline shared by
-// ReplanAnalytic and Session.Replan.
-func replanAnalytic(net *Network, groups []ArrayGroup, opt Options, sc *FaultScenario) (*ReplanReport, error) {
-	return replanAnalyticCtx(context.Background(), nil, net, groups, opt, sc)
-}
-
-// replanAnalyticCtx is replanAnalytic bound to a context and an optional
-// engine registry. With a registry (Session calls) the replan runs
-// through a retained ReplanEngine, so a recurrent fault — the same
-// (network, options, degraded hardware) seen again — is served from the
-// dependency-tracked memo in well under a millisecond instead of a full
-// search; without one (package-level calls) a one-shot engine gives the
-// same bytes with no retained state.
-func replanAnalyticCtx(ctx context.Context, engines *core.ReplanEngines, net *Network, groups []ArrayGroup, opt Options, sc *FaultScenario) (*ReplanReport, error) {
+// replanAnalyticCtx is the options-level replanning pipeline behind
+// ReplanAnalytic and Session.Replan. It runs through the registry's
+// retained Engine for (network, options), so for a Session a recurrent
+// fault — the same (network, options, degraded hardware) seen again — is
+// served from the dependency-tracked memo in well under a millisecond
+// instead of a full search; a throwaway registry gives the same bytes.
+func replanAnalyticCtx(ctx context.Context, engines *core.Engines, net *Network, groups []ArrayGroup, opt Options, sc *FaultScenario) (*ReplanReport, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -114,22 +90,15 @@ func replanAnalyticCtx(ctx context.Context, engines *core.ReplanEngines, net *Ne
 	if err != nil {
 		return nil, err
 	}
-	// Session calls intern both trees so a recurrent scenario hands the
-	// engine pointers its hardware index already knows.
-	buildTree := hardware.BuildTree
-	if engines != nil {
-		buildTree = engines.InternTree
-	}
-	pristine, err := buildTree(arr, 64)
+	// Interned trees hand a recurrent scenario the pointers the engine's
+	// hardware index already knows.
+	pristine, err := engines.InternTree(arr, 64)
 	if err != nil {
 		return nil, err
 	}
-	degraded, err := buildTree(darr, 64)
+	degraded, err := engines.InternTree(darr, 64)
 	if err != nil {
 		return nil, err
-	}
-	if engines == nil {
-		return core.ReplanCtx(ctx, net, pristine, degraded, opt)
 	}
 	eng, err := engines.Engine(net, opt)
 	if err != nil {
@@ -160,8 +129,9 @@ type ResilienceReport struct {
 	// MachineNames labels the two groups in reports.
 	MachineNames [2]string
 	// Replan reports how much of the experiment's two partition searches
-	// was served incrementally from retained engine state (Session runs;
-	// zero-valued for the engineless package-level entry point).
+	// was served incrementally from retained engine state (for the
+	// package-level entry point, only what the degraded search reused
+	// from the pristine one).
 	Replan ReplanStats
 }
 
@@ -214,48 +184,36 @@ func (r *ResilienceReport) String() string {
 // replanned result is adopted only if its simulated makespan beats the
 // stale run, so Replanned.Time ≤ Stale.Time always holds.
 func Resilience(net *Network, groups []ArrayGroup, strategy Strategy, sc FaultScenario, cfg SimConfig) (*ResilienceReport, error) {
-	return resilienceCachedCtx(context.Background(), nil, net, groups, strategy, sc, cfg, nil)
+	return resilienceCachedCtx(context.Background(), core.NewEngines(0), net, groups, strategy, sc, cfg, nil)
 }
 
-// partitionEnginesCtx is partitionCachedCtx through an optional
-// ReplanEngines registry: with a registry the search runs on a retained
-// ReplanEngine (dependency-tracked memo, retained whole plans), so a
-// hardware tree the engine has already solved — the pristine array on
-// every resilience call after the first, or a recurrent degraded array —
-// is answered from retained state. Plans are byte-identical to the
-// engineless path; only the work performed differs.
-func partitionEnginesCtx(ctx context.Context, engines *core.ReplanEngines, net *Network, arr *Array, strategy Strategy, cache *PlanCache) (*Plan, ReplanStats, error) {
-	if engines == nil {
-		plan, err := partitionCachedCtx(ctx, net, arr, strategy, cache)
-		return plan, ReplanStats{}, err
-	}
+// partitionEnginesCtx is partitionCachedCtx through a registry's
+// retained Engines (dependency-tracked memo, retained whole plans), so a
+// hardware tree the engines have already solved — the pristine array on
+// every Session resilience call after the first, or a recurrent degraded
+// array — is answered from retained state. Plans are byte-identical to
+// partitionCachedCtx's; only the work performed differs.
+func partitionEnginesCtx(ctx context.Context, engines *core.Engines, net *Network, arr *Array, strategy Strategy, cache *PlanCache) (*Plan, ReplanStats, error) {
 	tree, err := engines.InternTree(arr, 64)
 	if err != nil {
 		return nil, ReplanStats{}, err
 	}
-	if strategy == StrategyAccPar {
-		variants := core.AccParVariants()
-		for i := range variants {
-			variants[i].Cache = cache
-		}
-		return engines.PartitionBestCtx(ctx, net, tree, variants...)
-	}
-	opt := strategy.Options()
-	opt.Cache = cache
-	eng, err := engines.Engine(net, opt)
+	portfolio, err := engines.Portfolio(net, strategy.portfolio(cache)...)
 	if err != nil {
 		return nil, ReplanStats{}, err
 	}
-	return eng.PlanCtx(ctx, tree)
+	plan, _, st, err := core.PlanBestCtx(ctx, portfolio, tree)
+	return plan, st, err
 }
 
-// resilienceCachedCtx is Resilience through an optional shared plan
-// cache and a context; it backs the package-level entry point (nil
-// cache, background context) and Session. The partition searches poll
+// resilienceCachedCtx is Resilience through an engine registry, an
+// optional shared plan cache and a context; it backs the package-level
+// entry point (throwaway registry, nil cache, background context) and
+// Session. The partition searches poll
 // ctx themselves; the simulation phases are not cancellation-aware, so
 // the pipeline re-checks ctx between phases — an abort is observed
 // within one phase.
-func resilienceCachedCtx(ctx context.Context, engines *core.ReplanEngines, net *Network, groups []ArrayGroup, strategy Strategy, sc FaultScenario, cfg SimConfig, cache *PlanCache) (*ResilienceReport, error) {
+func resilienceCachedCtx(ctx context.Context, engines *core.Engines, net *Network, groups []ArrayGroup, strategy Strategy, sc FaultScenario, cfg SimConfig, cache *PlanCache) (*ResilienceReport, error) {
 	if len(groups) != 2 {
 		return nil, fmt.Errorf("accpar: resilience needs exactly 2 accelerator groups, got %d", len(groups))
 	}
@@ -288,7 +246,7 @@ func resilienceCachedCtx(ctx context.Context, engines *core.ReplanEngines, net *
 	if err != nil {
 		return nil, err
 	}
-	if err := ctxSentinel(ctx.Err()); err != nil {
+	if err := core.WrapCtxErr(ctx.Err()); err != nil {
 		return nil, err
 	}
 
@@ -325,7 +283,7 @@ func resilienceCachedCtx(ctx context.Context, engines *core.ReplanEngines, net *
 		return nil, err
 	}
 	core.ObserveReplanLatency(time.Since(replanStart))
-	if err := ctxSentinel(ctx.Err()); err != nil {
+	if err := core.WrapCtxErr(ctx.Err()); err != nil {
 		return nil, err
 	}
 	sp = obs.StartSpanCtx(ctx, "resilience", "simulate-replanned")

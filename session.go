@@ -39,20 +39,20 @@ func NewPlanCache(capacity int) *PlanCache { return core.NewSharedCache(capacity
 // previously seen subproblems without recomputation.
 type Session struct {
 	cache *PlanCache
-	// engines retains per-(network, options) ReplanEngine instances so
+	// engines retains per-(network, options) Engine instances so
 	// Session.ReplanCtx and Session.ResilienceCtx replan incrementally:
 	// each engine keeps a dependency-tracked subproblem memo, retained
 	// whole plans and a recent-hardware working set, making a recurrent
 	// fault a sub-millisecond lookup instead of a fresh search. Every
 	// engine binds the session cache, so engine misses still warm — and
 	// are warmed by — all other session work.
-	engines *core.ReplanEngines
+	engines *core.Engines
 }
 
 // NewSession returns a Session with a fresh cache bounded to capacity
 // entries (≤ 0 selects the default).
 func NewSession(capacity int) *Session {
-	return &Session{cache: NewPlanCache(capacity), engines: core.NewReplanEngines(0)}
+	return &Session{cache: NewPlanCache(capacity), engines: core.NewEngines(0)}
 }
 
 // Cache returns the session's shared plan cache, for callers who want to
@@ -160,7 +160,7 @@ func (s *Session) CompareCtx(ctx context.Context, net *Network, arr *Array) (*Co
 		return nil
 	})
 	if err != nil {
-		return nil, ctxSentinel(err)
+		return nil, core.WrapCtxErr(err)
 	}
 	c := &Comparison{Plans: map[Strategy]*Plan{}}
 	for i, st := range Strategies {
@@ -179,7 +179,7 @@ func (s *Session) Replan(net *Network, groups []ArrayGroup, strategy Strategy, s
 
 // ReplanCtx is Replan bound to a context; all three planning passes poll
 // ctx and abort with ErrCanceled or ErrDeadlineExceeded. The replan runs
-// on the session's retained ReplanEngine for (net, strategy): the
+// on the session's retained Engine for (net, strategy): the
 // pristine plan and every untouched subtree come from retained state, and
 // a recurrent scenario is answered entirely from the dependency-tracked
 // memo. Reports stay byte-identical to a fresh session's.
